@@ -108,12 +108,26 @@ def _fused_matvec_exact() -> bool:
     return _FUSED_EXACT
 
 
+def _borrow(fmt):
+    """A weak proxy of ``fmt`` for state cached under ``fmt`` as a weak key.
+
+    A strong reference from the cached value back to its key would keep
+    both alive forever.  Non-weakrefable formats only ever get transient
+    plans, so they are kept as they are.
+    """
+    try:
+        return weakref.proxy(fmt)
+    except TypeError:
+        return fmt
+
+
 class FastPlan:
     """Cached x-independent launch state for one (format, config, device).
 
     Everything here is what the faithful kernel recomputes per call:
     the padded arrays, the gather map, the flag segment structure, the
-    scatter row map, and (lazily) the cost profile.
+    scatter row map, and (lazily) the cost profile.  The padded arrays
+    only borrow their format (:func:`_borrow`), so a plan dies with it.
     """
 
     __slots__ = (
@@ -136,7 +150,7 @@ class FastPlan:
         base = padded.cols * w
         gather = base[:, None] + np.arange(w, dtype=np.int64)[None, :]
         valid = gather < fmt.ncols
-        self.padded = padded
+        self.padded = replace(padded, fmt=_borrow(fmt))
         self.safe = np.where(valid, gather, 0)
         # Edge/padding blocks multiply zero values; when every gather is
         # in range (the common 1-wide-block case) skip the mask entirely.
@@ -185,7 +199,7 @@ class FastPlan:
         clone = object.__new__(FastPlan)
         values = np.zeros_like(self.padded.values)
         values[: new_fmt.nblocks_padded] = new_fmt.values
-        clone.padded = replace(self.padded, values=values, fmt=new_fmt)
+        clone.padded = replace(self.padded, values=values, fmt=_borrow(new_fmt))
         clone.safe = self.safe
         clone.invalid = self.invalid
         clone.gather_flat = self.gather_flat

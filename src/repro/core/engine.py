@@ -589,8 +589,6 @@ class SpMVEngine:
         # has to short-circuit clean runs too, and the half-open probe
         # only closes if its success is observed and recorded.
         breaking = self.breaker is not None and self.policy == "permissive"
-        if self.validate is False:
-            return self.fault_plan is not None or breaking
         return self.fault_plan is not None or breaking
 
     # ------------------------------------------------------------------ #

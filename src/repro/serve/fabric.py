@@ -85,9 +85,11 @@ from ..fault.retry import (
     RetryPolicy,
 )
 from ..obs import obs_scope
-from ..util import as_csr
 from .health import HealthPolicy, ShardHealth
-from .server import ServeConfig, ServeFuture, SpMVServer, serve_key
+from .server import (
+    Admitted, ServeConfig, ServeFuture, SpMVServer, admit, prime_key,
+    structural_key,
+)
 from .supervisor import (
     Autoscaler,
     AutoscalePolicy,
@@ -248,11 +250,8 @@ class _Shard:
 @dataclass
 class _FabricRequest:
     tenant: str
-    #: What gets submitted to a shard server: the canonical CSR, or a
-    #: caller-supplied PreparedMatrix (shard caches admit it as-is).
-    operand: object
-    x: np.ndarray
-    key: str
+    #: Handed to every shard the request is tried on, key included.
+    admitted: Admitted
     deadline: Deadline | None
     future: ServeFuture
     enqueued_at: float
@@ -381,9 +380,10 @@ class ServeFabric:
         self._observer = observer
         self._processes = processes
         self._worker_config = worker_config
-        #: PreparedMatrix handles primed fabric-wide; scale-ups re-warm
-        #: new replicas from this list.
-        self._fabric_primed: list[PreparedMatrix] = []
+        #: structural key -> (serve key, PreparedMatrix) of the newest
+        #: version primed fabric-wide; scale-ups re-warm new replicas
+        #: from it.
+        self._fabric_primed: dict[str, tuple[str, PreparedMatrix]] = {}
         self.shards: list[_Shard] = []
         for i in range(self.config.shards):
             self.shards.append(self._spawn_shard(i))
@@ -530,21 +530,7 @@ class ServeFabric:
         tenant's quota is full and :class:`~repro.errors.
         ServerClosedError` after :meth:`close`.
         """
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim not in (1, 2):
-            raise ValidationError(
-                f"x must be a vector or a (ncols, k) block, got shape {x.shape}"
-            )
-        if isinstance(matrix, PreparedMatrix):
-            operand = matrix
-            csr = matrix.reference_csr()
-        else:
-            operand = csr = as_csr(matrix)
-        if x.shape[0] != csr.shape[1]:
-            raise ValidationError(
-                f"x has {x.shape[0]} rows, matrix has {csr.shape[1]} columns"
-            )
-        key = serve_key(self.shards[0].engine, csr)
+        admitted = admit(self.shards[0].engine, matrix, x)
         timeout = (
             timeout_s if timeout_s is not None
             else self.config.default_timeout_s
@@ -553,9 +539,7 @@ class ServeFabric:
         future = ServeFuture()
         request = _FabricRequest(
             tenant=tenant,
-            operand=operand,
-            x=x,
-            key=key,
+            admitted=admitted,
             deadline=deadline,
             future=future,
             enqueued_at=self._clock(),
@@ -828,22 +812,18 @@ class ServeFabric:
     def prime(self, prepared: PreparedMatrix) -> str:
         """Warm every routable shard's cache with ``prepared``.
 
-        In process mode the matrix is :meth:`~repro.core.engine.
-        PreparedMatrix.share`\\ d first so children map the shared-memory
-        segments instead of re-tuning; the handle is remembered so
-        scale-ups and supervisor restarts re-warm new replicas.  Returns
-        the serve key the fabric will route the matrix under.
+        Keys the matrix once and installs it under that key on every
+        shard (process shards share it, so children map the segments
+        instead of re-tuning).  Scale-ups re-warm from the newest
+        version of each structure; a value refresh replaces the older
+        one.  Returns the serve key the fabric routes the matrix under.
         """
-        key = serve_key(
-            self.shards[0].engine, prepared.reference_csr()
-        )
-        if self._processes:
-            prepared.share()
-        self._fabric_primed.append(prepared)
+        key = prime_key(self.shards[0].engine, prepared)
+        self._fabric_primed[structural_key(key)] = (key, prepared)
         for shard in self.shards:
             if shard.dead or shard.retired:
                 continue
-            shard.server.prime(prepared)
+            shard.server._install(key, prepared)
         return key
 
     def _rebuild_router(self) -> None:
@@ -883,8 +863,8 @@ class ServeFabric:
     def _scale_up(self) -> None:
         shard = self._spawn_shard(self._next_index)
         self._next_index += 1
-        for prepared in self._fabric_primed:
-            shard.server.prime(prepared)
+        for key, prepared in self._fabric_primed.values():
+            shard.server._install(key, prepared)
         self.shards.append(shard)
         self._by_name[shard.name] = shard
         self._rebuild_router()
@@ -924,7 +904,7 @@ class ServeFabric:
                 budget_s=request.deadline.seconds,
             ), None)
             return
-        preference = self.router.preference(request.key)
+        preference = self.router.preference(request.admitted.key)
         # Prefer shards this request has not failed on yet; fall back to
         # re-trying a previously-tried (still live) shard only when the
         # ring offers nothing fresh.
@@ -950,9 +930,7 @@ class ServeFabric:
                 else max(request.deadline.remaining(), 0.0)
             )
             try:
-                shard_future = shard.server.submit(
-                    request.operand, request.x, timeout_s=timeout
-                )
+                shard_future = shard.server._enqueue(request.admitted, timeout)
             except (ServerOverloadedError, ServerClosedError) as exc:
                 if probe:
                     # The probe could not even be enqueued: count it as

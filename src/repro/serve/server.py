@@ -38,6 +38,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,7 +53,7 @@ from ..errors import (
 )
 from ..fault.retry import CircuitBreaker, Deadline, RetryPolicy
 from ..obs import obs_scope
-from ..tuning.persistence import matrix_fingerprint
+from ..tuning.persistence import csr_fingerprint
 from ..util import as_csr
 from .cache import PreparedCache
 
@@ -79,18 +80,67 @@ def _values_digest(csr) -> str:
 
 
 def serve_key(engine: SpMVEngine, csr) -> str:
-    """The value-aware serve key of ``csr`` on ``engine``.
+    """The value-aware serve key of canonical ``csr`` on ``engine``.
 
     ``device:tuning_mode:structural-fingerprint:value-hash`` -- the key
     the server's cache and batch coalescing use, and the key the fabric
-    consistent-hashes to pick a shard.  Every shard of a fabric runs the
-    same device model and tuning mode, so the fabric-level key matches
-    the one each shard computes for itself.
+    consistent-hashes to pick a shard.  It hashes the whole matrix, so
+    :func:`admit` computes it once per request at the front door and the
+    key travels with the request through fabric, shard and worker pipe.
+    ``csr`` must be canonical (what :func:`~repro.util.as_csr` returns).
     """
     return (
         f"{engine.device.name}:{engine.tuning_mode}:"
-        f"{matrix_fingerprint(csr)}:{_values_digest(csr)}"
+        f"{csr_fingerprint(csr)}:{_values_digest(csr)}"
     )
+
+
+def structural_key(key: str) -> str:
+    """A serve key minus its value hash: shared by every value refresh."""
+    return key.rpartition(":")[0]
+
+
+class Admitted(NamedTuple):
+    """A request as :func:`admit` let it in; shards never re-key it.
+
+    ``operand`` is the canonical CSR of a raw matrix, or the caller's
+    :class:`~repro.core.engine.PreparedMatrix` as it is.
+    """
+
+    key: str
+    operand: object
+    x: np.ndarray
+
+
+def admit(engine: SpMVEngine, matrix, x) -> Admitted:
+    """The one front door of every ``submit`` (server, worker, fabric).
+
+    Validates ``x`` against the matrix, canonicalizes a raw matrix once
+    (a ``PreparedMatrix`` is used as it is) and computes the serve key.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim not in (1, 2):
+        raise ValidationError(
+            f"x must be a vector or a (ncols, k) block, got shape {x.shape}"
+        )
+    if isinstance(matrix, PreparedMatrix):
+        operand, csr = matrix, matrix.reference_csr()
+    else:
+        operand = csr = as_csr(matrix)
+    if x.shape[0] != csr.shape[1]:
+        raise ValidationError(
+            f"x has {x.shape[0]} rows, matrix has {csr.shape[1]} columns"
+        )
+    return Admitted(serve_key(engine, csr), operand, x)
+
+
+def prime_key(engine: SpMVEngine, prepared) -> str:
+    """Check a ``prime`` operand and compute its serve key (once)."""
+    if not isinstance(prepared, PreparedMatrix):
+        raise ValidationError(
+            f"prime needs a PreparedMatrix, got {type(prepared).__name__}"
+        )
+    return serve_key(engine, prepared.reference_csr())
 
 
 @dataclass(frozen=True)
@@ -221,8 +271,8 @@ class ServeFuture:
 @dataclass
 class _Request:
     key: str
-    matrix: object
-    prepared: PreparedMatrix | None
+    #: Canonical CSR, or the caller's PreparedMatrix (admitted as-is).
+    operand: object
     x: np.ndarray
     deadline: Deadline | None
     future: ServeFuture
@@ -360,37 +410,16 @@ class SpMVServer:
         bounded queue is full and :class:`~repro.errors.ServerClosedError`
         after :meth:`close`.
         """
-        prepared: PreparedMatrix | None = None
-        if isinstance(matrix, PreparedMatrix):
-            prepared = matrix
-            ncols = prepared.fmt.ncols
-            source = prepared.reference_csr()
-        else:
-            ncols = matrix.shape[1]
-            source = matrix
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim not in (1, 2):
-            raise ValidationError(
-                f"x must be a vector or a (ncols, k) block, got shape {x.shape}"
-            )
-        if x.shape[0] != ncols:
-            raise ValidationError(
-                f"x has {x.shape[0]} rows, matrix has {ncols} columns"
-            )
-        csr = as_csr(source)
-        key = serve_key(self.engine, csr)
+        return self._enqueue(admit(self.engine, matrix, x), timeout_s)
+
+    def _enqueue(self, req: Admitted, timeout_s: float | None) -> ServeFuture:
+        """Queue an admitted request; its key is never recomputed."""
         timeout = timeout_s if timeout_s is not None else self.config.default_timeout_s
         deadline = None if timeout is None else Deadline(timeout, clock=self._clock)
         future = ServeFuture()
         request = _Request(
-            key=key,
-            matrix=csr,
-            prepared=prepared,
-            x=x,
-            deadline=deadline,
-            future=future,
-            enqueued_at=self._clock(),
-            batchable=x.ndim == 1,
+            req.key, req.operand, req.x, deadline, future, self._clock(),
+            batchable=req.x.ndim == 1,
         )
         with self._cond:
             if self._closed:
@@ -446,14 +475,14 @@ class SpMVServer:
         key (its value digest changed), so priming never clobbers the
         previous values' entry.
         """
-        if not isinstance(prepared, PreparedMatrix):
-            raise ValidationError(
-                f"prime needs a PreparedMatrix, got {type(prepared).__name__}"
-            )
-        key = serve_key(self.engine, prepared.reference_csr())
+        key = prime_key(self.engine, prepared)
+        self._install(key, prepared)
+        return key
+
+    def _install(self, key: str, prepared: PreparedMatrix) -> None:
+        """Cache ``prepared`` under a precomputed key unless resident."""
         if self.cache.peek(key) is None:
             self.cache.put(key, prepared)
-        return key
 
     # ------------------------------------------------------------------ #
     # Dispatch side
@@ -608,10 +637,10 @@ class SpMVServer:
                 if found is None:
                     if prepared is not None:
                         found = prepared
-                    elif r.prepared is not None:
-                        found = r.prepared
+                    elif isinstance(r.operand, PreparedMatrix):
+                        found = r.operand
                     else:
-                        found = self.engine.prepare(r.matrix)
+                        found = self.engine.prepare(r.operand)
                     self.cache.put(key, found)
                     hit_flags.append(False)
                 else:

@@ -219,7 +219,7 @@ class ShardSupervisor:
             # The serve.arena_lost fault site: unlink one warm key's
             # segment before the re-prime, so the child's attach fails
             # and the CSR-reship fallback is exercised for real.
-            victim = next(iter(worker._primed.values()))
+            _, victim = next(iter(worker._primed.values()))
             if victim.arena is not None:
                 try:
                     victim.arena._shm.unlink()
@@ -279,8 +279,8 @@ class ShardSupervisor:
         fallback = self.degrade_factory(shard)
         # Re-warm the fallback with the worker's parent-side handles so
         # degraded serving stays cache-hot and bit-identical.
-        for prepared in worker._primed.values():
-            fallback.prime(prepared)
+        for key, prepared in worker._primed.values():
+            fallback._install(key, prepared)
         shard.server = fallback
         self.n_degraded += 1
         self._count(

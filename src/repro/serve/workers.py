@@ -14,20 +14,22 @@ Design constraints, in the order they shaped the protocol:
   :class:`~repro.core.engine.PreparedMatrix` is moved into a
   :class:`~repro.core.shm.SharedArena` (idempotent) before crossing the
   pipe, so the child attaches the parent's pages from a descriptor
-  instead of deserializing the arrays -- the reason PR 7 built
-  descriptor pickling.  The parent keeps the handle (``_primed``) so a
-  respawned child can be re-warmed with the same keys; if the segment
-  has vanished by then (the ``serve.arena_lost`` fault site), the CSR
-  arrays are shipped instead and the child re-prepares deterministically
-  under the same tuning point.
+  instead of deserializing the arrays.  The parent keeps the newest
+  handle of each matrix structure (``_primed``: a value refresh replaces
+  the older version) to re-warm a respawned child under the same keys;
+  if the segment has vanished by then (the ``serve.arena_lost`` fault
+  site), the CSR arrays are shipped instead and the child re-prepares
+  deterministically under the same tuning point.
 * **No pipe deadlock.**  The parent bounds in-flight requests
   (``WorkerConfig.max_inflight``) and eagerly drains replies between
   sends, so parent and child are never both blocked writing.
-* **Parent-side admission.**  ``submit`` enforces the queue bound and
-  raises :class:`~repro.errors.ServerOverloadedError` /
+* **Parent-side admission, key included.**  ``submit`` admits the
+  request in the parent (:func:`~repro.serve.server.admit`: validation,
+  canonicalization, the serve key), enforces the queue bound and raises
+  :class:`~repro.errors.ServerOverloadedError` /
   :class:`~repro.errors.ServerClosedError` synchronously, exactly like
-  ``SpMVServer.submit`` -- the fabric's forwarding, probe accounting and
-  shed counters work unchanged against a process shard.
+  ``SpMVServer.submit``.  The key crosses the pipe with the request and
+  the child's server enqueues it without hashing the matrix again.
 * **Typed errors across the pipe.**  A worker-side exception crosses as
   itself when it pickles (every ``repro.errors`` class does -- the
   ``tests/serve/test_pickle_errors.py`` sweep holds that line) and as a
@@ -70,8 +72,10 @@ from ..errors import (
     ShardCrashError,
     ValidationError,
 )
-from ..util import as_csr
-from .server import ServeConfig, ServeFuture, SpMVServer, serve_key
+from .server import (
+    Admitted, ServeConfig, ServeFuture, SpMVServer, admit, prime_key,
+    structural_key,
+)
 
 __all__ = ["WorkerConfig", "ProcessShard"]
 
@@ -157,7 +161,8 @@ def _handle_request(conn, server, rid, key, operand, x, timeout_s) -> None:
                 # full operand instead of guessing.
                 conn.send(("needop", rid))
                 return
-        future = server.submit(operand, x, timeout_s=timeout_s)
+        # Admitted parent-side: the key arrives with the request.
+        future = server._enqueue(Admitted(key, operand, x), timeout_s)
         server.drain()
         error = future.exception(timeout=0)
         if error is not None:
@@ -245,14 +250,11 @@ def _worker_main(conn, engine, serve_config, name: str) -> None:
 
 
 class _WorkerRequest:
-    __slots__ = ("rid", "key", "operand", "x", "timeout_s", "future",
-                 "resends")
+    __slots__ = ("rid", "admitted", "timeout_s", "future", "resends")
 
-    def __init__(self, rid, key, operand, x, timeout_s, future):
+    def __init__(self, rid, admitted: Admitted, timeout_s, future):
         self.rid = rid
-        self.key = key
-        self.operand = operand
-        self.x = x
+        self.admitted = admitted
         self.timeout_s = timeout_s
         self.future = future
         self.resends = 0
@@ -313,8 +315,10 @@ class ProcessShard:
         self._conn = None
         self._queue: deque[_WorkerRequest] = deque()
         self._sent: dict[int, _WorkerRequest] = {}
-        #: key -> parent-side PreparedMatrix handle, re-warmed on respawn.
-        self._primed: dict[str, PreparedMatrix] = {}
+        #: structural key -> (serve key, parent-side PreparedMatrix) of
+        #: the newest primed version (or the first submitted one),
+        #: re-warmed on respawn.
+        self._primed: dict[str, tuple[str, PreparedMatrix]] = {}
         self._child_keys: set[str] = set()
         self._rid = 0
         self._closed = False
@@ -406,7 +410,7 @@ class ProcessShard:
         with self._lock:
             self.spawn()
             mode = "cold"
-            for key, prepared in list(self._primed.items()):
+            for key, prepared in list(self._primed.values()):
                 primed_how = self._send_prime(key, prepared)
                 if primed_how == "csr":
                     mode = "csr"
@@ -434,26 +438,10 @@ class ProcessShard:
         shared memory (idempotent) so the child maps it zero-copy, and
         is retained as a re-warm handle for restarts.
         """
-        prepared: PreparedMatrix | None = None
-        if isinstance(matrix, PreparedMatrix):
-            prepared = matrix
-            ncols = prepared.fmt.ncols
-            source = prepared.reference_csr()
-        else:
-            ncols = matrix.shape[1]
-            source = matrix
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim not in (1, 2):
-            raise ValidationError(
-                f"x must be a vector or a (ncols, k) block, got shape {x.shape}"
-            )
-        if x.shape[0] != ncols:
-            raise ValidationError(
-                f"x has {x.shape[0]} rows, matrix has {ncols} columns"
-            )
-        csr = as_csr(source)
-        key = serve_key(self.engine, csr)
-        operand = csr if prepared is None else prepared
+        return self._enqueue(admit(self.engine, matrix, x), timeout_s)
+
+    def _enqueue(self, req: Admitted, timeout_s: float | None) -> ServeFuture:
+        """Queue an admitted request; its key is sent over the pipe."""
         with self._lock:
             if self._closed:
                 raise ServerClosedError(
@@ -476,14 +464,14 @@ class ProcessShard:
                     queue_depth=self.config.queue_depth,
                     pending=pending,
                 )
-            if prepared is not None:
-                prepared.share()
-                self._primed.setdefault(key, prepared)
+            if isinstance(req.operand, PreparedMatrix):
+                req.operand.share()
+                self._primed.setdefault(
+                    structural_key(req.key), (req.key, req.operand)
+                )
             self._rid += 1
             future = ServeFuture()
-            self._queue.append(_WorkerRequest(
-                self._rid, key, operand, x, timeout_s, future
-            ))
+            self._queue.append(_WorkerRequest(self._rid, req, timeout_s, future))
             self.n_requests += 1
             self.obs.counter("serve.requests", "requests admitted").inc()
         return future
@@ -507,17 +495,19 @@ class ProcessShard:
         into the child's prepared cache so the first request for the key
         is already a cache hit.  Returns the serve key.
         """
-        if not isinstance(prepared, PreparedMatrix):
-            raise ValidationError(
-                f"prime needs a PreparedMatrix, got {type(prepared).__name__}"
-            )
-        key = serve_key(self.engine, prepared.reference_csr())
+        key = prime_key(self.engine, prepared)
+        self._install(key, prepared)
+        return key
+
+    def _install(self, key: str, prepared: PreparedMatrix) -> None:
+        """:meth:`prime` under a precomputed key (the fabric's entry)."""
         with self._lock:
             prepared.share()
-            self._primed[key] = prepared
+            # One re-warm handle per structure: a value refresh replaces
+            # the older version instead of pinning its segment forever.
+            self._primed[structural_key(key)] = (key, prepared)
             if self.alive:
                 self._send_prime(key, prepared)
-        return key
 
     # ------------------------------------------------------------------ #
     # Pipe pump
@@ -570,19 +560,17 @@ class ProcessShard:
                 n += 1
         return n
 
-    def _send_request(self, req: _WorkerRequest) -> bool:
-        operand = req.operand
-        if req.key in self._child_keys and req.resends == 0:
+    def _send_request(self, wreq: _WorkerRequest) -> bool:
+        key, operand, x = wreq.admitted
+        if key in self._child_keys and wreq.resends == 0:
             operand = None  # the child serves it from its cache
         try:
-            self._conn.send(
-                ("req", req.rid, req.key, operand, req.x, req.timeout_s)
-            )
+            self._conn.send(("req", wreq.rid, key, operand, x, wreq.timeout_s))
         except (BrokenPipeError, OSError):
-            self._queue.appendleft(req)
+            self._queue.appendleft(wreq)
             self._on_death(hung=False)
             return False
-        self._sent[req.rid] = req
+        self._sent[wreq.rid] = wreq
         return True
 
     def _recv_one(self, timeout: float) -> str:
@@ -620,7 +608,7 @@ class ProcessShard:
         if kind == "res":
             req = self._sent.pop(msg[1], None)
             if req is not None:
-                self._child_keys.add(req.key)
+                self._child_keys.add(req.admitted.key)
                 self.n_responses += 1
                 req.future._complete(msg[2])
         elif kind == "err":
@@ -631,13 +619,13 @@ class ProcessShard:
         elif kind == "needop":
             req = self._sent.pop(msg[1], None)
             if req is not None:
-                self._child_keys.discard(req.key)
+                self._child_keys.discard(req.admitted.key)
                 req.resends += 1
                 if req.resends > 1:
                     self.n_responses += 1
                     req.future._fail(RemoteWorkerError(
                         f"worker {self.name} requested the operand for "
-                        f"{req.key} twice; giving up",
+                        f"{req.admitted.key} twice; giving up",
                         original_type="needop-loop",
                     ))
                 else:

@@ -84,7 +84,11 @@ def _locked(path: Path):
 
 def matrix_fingerprint(matrix) -> str:
     """Structural hash of a sparse matrix (values excluded)."""
-    csr = as_csr(matrix)
+    return csr_fingerprint(as_csr(matrix))
+
+
+def csr_fingerprint(csr) -> str:
+    """:func:`matrix_fingerprint` of an already canonical CSR (no copy)."""
     h = hashlib.sha256()
     h.update(np.asarray(csr.shape, dtype=np.int64).tobytes())
     h.update(np.int64(csr.nnz).tobytes())
